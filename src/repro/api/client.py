@@ -7,9 +7,10 @@ against either transport:
   :class:`~repro.api.protocol.ProtocolHandler` in this process (no
   sockets, no serialization of the transport itself — but the *same*
   envelope round-trip, so behavior matches the wire exactly);
-* :class:`HttpTransport` — stdlib ``urllib`` against a
-  :func:`repro.api.http.serve_http` server; ``submit`` posts ndjson and
-  consumes the streamed ndjson decision lines.
+* :class:`HttpTransport` — persistent stdlib ``http.client`` connections
+  (one per calling thread) to a :func:`repro.api.http.serve_http` server
+  or a cluster router; ``submit`` posts ndjson and consumes the streamed
+  ndjson decision lines.
 
 Because both transports route through the identical handler → service hot
 path, a fixed per-tenant event order produces **bit-identical** decision
@@ -24,10 +25,10 @@ carrying the code, so ``error_code(exc)`` round-trips across the wire.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from collections.abc import Iterable, Mapping, Sequence
+from http import HTTPStatus
 from typing import Any
 
 from repro import errors
@@ -47,6 +48,7 @@ from repro.api.protocol import (
     encode_history,
     encode_ndjson,
 )
+from repro.api.http import SUBMIT_CHUNK, ConnectionPool
 from repro.api.v1.types import (
     AlertEvent,
     CycleReport,
@@ -114,8 +116,6 @@ class InProcessTransport:
         self, events: Sequence[AlertEvent]
     ) -> tuple[SignalDecision, ...]:
         """The streaming hot path (same chunking as the HTTP endpoint)."""
-        from repro.api.http import SUBMIT_CHUNK
-
         return tuple(self._handler.submit_stream(events, SUBMIT_CHUNK))
 
     def close(self) -> None:
@@ -123,11 +123,17 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    """The wire transport: stdlib HTTP against a ``serve_http`` server."""
+    """The wire transport: persistent HTTP/1.1 to a ``serve_http`` server.
+
+    Each calling thread keeps one connection open to the server and reuses
+    it for every request (:class:`~repro.api.http.ConnectionPool`), so a
+    ``decide`` costs one request/response exchange, not a TCP handshake.
+    :meth:`close` releases the connections.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self._base = base_url.rstrip("/")
-        self._timeout = timeout
+        self._pool = ConnectionPool(timeout)
 
     @property
     def base_url(self) -> str:
@@ -158,38 +164,41 @@ class HttpTransport:
         decisions arrive (and deserialize) while later chunks are still
         being decided server-side, never buffering the raw body whole.
         """
-        request = urllib.request.Request(
-            self._base + "/v1/submit",
-            data=encode_ndjson(events).encode("utf-8"),
-            headers={"Content-Type": "application/x-ndjson"},
-            method="POST",
-        )
         decisions: list[SignalDecision] = []
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as reply:
+            with self._pool.post(
+                self._base,
+                "/v1/submit",
+                encode_ndjson(events).encode("utf-8"),
+                "application/x-ndjson",
+            ) as reply:
+                if reply.status != HTTPStatus.OK:
+                    self._raise_rejection(reply)
                 for raw in reply:
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
                     self._collect_submit_line(line, decisions)
-        except urllib.error.HTTPError as exc:
-            # Pre-stream rejections (bad ndjson body) carry a Response —
-            # but an intermediary (reverse proxy, stdlib error page) may
-            # answer with something else entirely.
-            body = exc.read().decode("utf-8", errors="replace")
-            try:
-                error = Response.from_json(body).error
-            except Exception:
-                raise TransportError(
-                    f"server reply to submit is not a protocol response "
-                    f"(HTTP {exc.code}): {body[:200]!r}"
-                ) from exc
-            raise_for(error.code, error.message)
-        except (urllib.error.URLError, OSError) as exc:
+        except (http.client.HTTPException, OSError) as exc:
             raise TransportError(
                 f"cannot reach {self._base}/v1/submit: {exc}"
             ) from exc
         return tuple(decisions)
+
+    @staticmethod
+    def _raise_rejection(reply: http.client.HTTPResponse) -> None:
+        # Pre-stream rejections (bad ndjson body) carry a Response — but an
+        # intermediary (reverse proxy, stdlib error page) may answer with
+        # something else entirely.
+        body = reply.read().decode("utf-8", errors="replace")
+        try:
+            error = Response.from_json(body).error
+        except Exception as exc:
+            raise TransportError(
+                f"server reply to submit is not a protocol response "
+                f"(HTTP {reply.status}): {body[:200]!r}"
+            ) from exc
+        raise_for(error.code, error.message)
 
     @staticmethod
     def _collect_submit_line(
@@ -203,22 +212,18 @@ class HttpTransport:
         decisions.append(SignalDecision.from_dict(document))
 
     def close(self) -> None:
-        """Nothing held open between requests."""
+        """Close the persistent connections of every thread.
+
+        The transport stays usable; a later request reconnects.
+        """
+        self._pool.close()
 
     def _post(self, path: str, data: bytes, content_type: str) -> bytes:
-        request = urllib.request.Request(
-            self._base + path,
-            data=data,
-            headers={"Content-Type": content_type},
-            method="POST",
-        )
+        # Error statuses still carry a protocol Response body.
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as reply:
+            with self._pool.post(self._base, path, data, content_type) as reply:
                 return reply.read()
-        except urllib.error.HTTPError as exc:
-            # Error statuses still carry a protocol Response body.
-            return exc.read()
-        except (urllib.error.URLError, OSError) as exc:
+        except (http.client.HTTPException, OSError) as exc:
             raise TransportError(
                 f"cannot reach {self._base}{path}: {exc}"
             ) from exc

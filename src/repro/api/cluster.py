@@ -35,19 +35,18 @@ the tier to bit-identical per-tenant behavior).
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from http import HTTPStatus
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from repro.errors import ClusterError, ProtocolError, WorkerUnavailableError
 from repro.api.hashring import DEFAULT_REPLICAS, HashRing
-from repro.api.http import STATUS_BY_CODE
+from repro.api.http import STATUS_BY_CODE, ConnectionPool
 from repro.api.protocol import (
     OP_CLOSE,
     OP_CLOSE_CYCLE,
@@ -80,12 +79,6 @@ DEFAULT_REQUEST_TIMEOUT = 600.0
 #: double-charging). Everything else only retries when the connection
 #: was refused — provably never sent.
 _ALWAYS_RETRY_SAFE = (OP_HEALTHZ, OP_STATS, OP_REPORT)
-
-
-def _is_never_sent(exc: BaseException) -> bool:
-    """True when the TCP connect itself failed — nothing reached a worker."""
-    reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-    return isinstance(reason, ConnectionRefusedError)
 
 
 def _error_body(op: str, exc: BaseException) -> tuple[int, bytes]:
@@ -142,6 +135,9 @@ class AuditCluster:
         self._request_timeout = request_timeout
         self._verbose = verbose
         self._ring = HashRing(worker_ids, replicas=replicas)
+        # Router → worker connections, one per forwarding thread and
+        # worker URL (a revived worker's new URL gets a new connection).
+        self._pool = ConnectionPool(request_timeout)
         supervisor_kwargs = {}
         if max_restarts is not None:
             supervisor_kwargs["max_restarts"] = max_restarts
@@ -165,6 +161,8 @@ class AuditCluster:
         self._bound: tuple[str, int] | None = None
         self._ready_path: Path | None = None
         self._workers_started = False
+        # Open client connections and their handler tasks, for shutdown.
+        self._clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     def _spec(self, worker_id: str) -> WorkerSpec:
         return WorkerSpec(
@@ -258,6 +256,7 @@ class AuditCluster:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        self._pool.close()
         self._supervisor.stop_all()
         if self._tempdir is not None:
             self._tempdir.cleanup()
@@ -279,14 +278,32 @@ class AuditCluster:
         if self._ready_path is not None:
             self._ready_path.write_text(self.url + "\n", encoding="utf-8")
         self._ready.set()
-        async with server:
+        try:
             await self._stop_async.wait()
+        finally:
+            server.close()
+            await self._close_clients()
+            await server.wait_closed()
+
+    async def _close_clients(self) -> None:
+        """End every kept-alive client connection before the loop stops.
+
+        Closing the transports hands each connection's handler an EOF, so
+        it returns on its own instead of being cancelled mid-read when
+        ``asyncio.run`` tears the loop down.
+        """
+        handlers = list(self._clients.values())
+        for writer in list(self._clients):
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=10.0)
 
     # ------------------------------------------------------------------
     # HTTP front door (hand-rolled HTTP/1.1 over asyncio streams)
     # ------------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 parsed = await self._read_request(reader)
@@ -318,6 +335,7 @@ class AuditCluster:
         ):
             pass  # malformed request or client went away
         finally:
+            self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -472,31 +490,20 @@ class AuditCluster:
             except WorkerUnavailableError as exc:
                 status, payload = _error_body(op, exc)
                 return status, "application/json", payload
-            request = urllib.request.Request(
-                url + path,
-                data=body,
-                method="POST",
-                headers={"Content-Type": content_type},
-            )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self._request_timeout
-                ) as reply:
+                with self._pool.post(url, path, body, content_type) as reply:
+                    # Worker-produced error envelopes pass through verbatim.
                     return (
                         reply.status,
                         reply.headers.get("Content-Type", "application/json"),
                         reply.read(),
                     )
-            except urllib.error.HTTPError as exc:
-                # A worker-produced error envelope: pass through verbatim.
-                return (
-                    exc.code,
-                    exc.headers.get("Content-Type", "application/json"),
-                    exc.read(),
-                )
-            except (urllib.error.URLError, OSError) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 last_exc = exc
-                if not (_is_never_sent(exc) or retry_safe):
+                # Only a refused connect proves nothing was sent: the pool
+                # never writes to a socket whose peer has gone.
+                never_sent = isinstance(exc, ConnectionRefusedError)
+                if not (never_sent or retry_safe):
                     break
                 # The worker died under us; ensure() on the next loop
                 # iteration restarts it (WAL replay first). A breath here

@@ -13,6 +13,7 @@ state, so every message can be logged, shipped over a wire, and replayed.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -32,6 +33,49 @@ SESSION_CLOSED = "closed"
 SESSION_ATTACKERS = ("rational", "bayesian_learning", "no_regret")
 
 
+#: Field values passed through ``to_dict`` as they are (immutable leaves).
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+#: Dataclass type → its field names, computed once per class.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+        )
+    return names
+
+
+def _plain(value: Any) -> Any:
+    """``dataclasses.asdict``'s value conversion in one pass.
+
+    Leaves come back as they are; dataclasses, lists, tuples and dicts come
+    back as fresh containers of converted values; anything else is
+    deep-copied, exactly as ``asdict`` does.
+    """
+    kind = type(value)
+    if kind in _LEAF_TYPES:
+        return value
+    if hasattr(kind, "__dataclass_fields__"):
+        return {
+            name: _plain(getattr(value, name)) for name in _field_names(kind)
+        }
+    if kind is list:
+        return [_plain(item) for item in value]
+    if kind is dict:
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return kind(*[_plain(item) for item in value])
+    if isinstance(value, (list, tuple)):
+        return kind(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return kind((_plain(key), _plain(item)) for key, item in value.items())
+    return copy.deepcopy(value)
+
+
 class _Payload:
     """Shared serde for the API dataclasses.
 
@@ -41,14 +85,21 @@ class _Payload:
     """
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-compatible values only)."""
-        return dataclasses.asdict(self)
+        """Plain-dict form (JSON-compatible values only).
+
+        Equal to ``dataclasses.asdict(self)`` with fresh containers, but
+        walks a per-class field list instead of recursing through
+        ``asdict``'s generic machinery.
+        """
+        return {
+            name: _plain(getattr(self, name))
+            for name in _field_names(type(self))
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]):
         """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - names
+        unknown = set(payload).difference(_field_names(cls))
         if unknown:
             raise InvalidEventError(
                 f"unknown {cls.__name__} fields: {sorted(unknown)}"
@@ -432,7 +483,7 @@ class SessionConfig(_Payload):
         # JSON objects have string keys; encode type ids as strings so the
         # document survives json.dumps -> json.loads unchanged.
         payload["payoffs"] = {
-            str(type_id): dataclasses.asdict(payoff)
+            str(type_id): _plain(payoff)
             for type_id, payoff in sorted(self.payoffs.items())
         }
         payload["costs"] = {

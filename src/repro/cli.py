@@ -739,11 +739,11 @@ def _run_serve_cluster(args, explicit) -> int:
             _urllib_request.urlopen(cluster.url + "/healthz")
         )
         existing = set(health["tenants"])
-        client = ReproClient.connect(cluster.url)
-        for spec in specs:
-            if spec.name in existing:
-                continue  # restored from the shard's WAL
-            client.open_scenario(spec)
+        with ReproClient.connect(cluster.url) as client:
+            for spec in specs:
+                if spec.name in existing:
+                    continue  # restored from the shard's WAL
+                client.open_scenario(spec)
         if args.ready_file:
             cluster.write_ready_file(args.ready_file)
         tenants = ", ".join(

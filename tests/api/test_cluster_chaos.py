@@ -16,6 +16,7 @@ so these tests are exact, not timing-dependent.
 
 import dataclasses
 import json
+import logging
 import urllib.error
 import urllib.request
 
@@ -220,3 +221,65 @@ class TestSupervisionLimits:
         assert json.load(
             urllib.request.urlopen(url + "/healthz")
         )["ok"]
+
+
+class TestPooledForwarding:
+    """The router keeps one connection per forwarding thread and worker
+    URL. A killed worker leaves those sockets at EOF; they must be dropped
+    before anything is written to them, so the refused connect to the
+    dead URL stays the only "never sent" signal."""
+
+    def test_sigkill_after_warm_pool_answers_like_the_reference(self, rig):
+        cluster, client, reference = rig
+        tenants = _open_everywhere(cluster, client, reference, budget=5.0)
+        victim_tenant = tenants[0]
+        victim = cluster.owner_of(victim_tenant)
+        events = make_events(tenant=victim_tenant, n=12)
+        # Warm the router's pooled connections to the victim shard.
+        for seq, event in enumerate(events[:4], start=1):
+            lived = client.decide_idempotent(event, seq=seq)
+            assert lived == reference.decide_idempotent(event, seq=seq)
+        client.submit(events[4:6])
+        reference.submit(events[4:6])
+        old_url = (cluster.shard_dir(victim) / "worker.url").read_text()
+
+        cluster.supervisor.kill(victim)
+
+        # submit is not retry-safe: it only succeeds if the stale pooled
+        # sockets were never written to.
+        assert list(client.submit(events[6:9])) == list(
+            reference.submit(events[6:9])
+        )
+        lived = client.decide_idempotent(events[9], seq=5)
+        assert lived == reference.decide_idempotent(events[9], seq=5)
+        assert cluster.supervisor.restarts(victim) == 1
+        assert (cluster.shard_dir(victim) / "worker.url").read_text() != (
+            old_url
+        )
+        # Nothing was charged twice.
+        assert _strip_wall(client.report(victim_tenant)) == _strip_wall(
+            reference.session(victim_tenant).report()
+        )
+
+
+class TestRouterShutdown:
+    def test_shutdown_with_a_kept_alive_client_logs_nothing(
+        self, tmp_path, caplog
+    ):
+        cluster = serve_cluster(
+            workers=1, state_dir=tmp_path / "cluster"
+        ).start_background()
+        client = ReproClient.connect(cluster.url)
+        try:
+            client.healthz()  # the client now holds a kept-alive connection
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                cluster.shutdown()
+            assert cluster.join(timeout=0)
+            noisy = [
+                record for record in caplog.records
+                if record.name == "asyncio" and record.levelno >= logging.WARNING
+            ]
+            assert noisy == [], [record.getMessage() for record in noisy]
+        finally:
+            client.close()
+            cluster.shutdown()
