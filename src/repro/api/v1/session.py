@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import time as _time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -74,19 +75,35 @@ def _build_learning_attacker(config: SessionConfig):
 
 
 @dataclass
-class _CycleCounters:
-    """Decide-path accounting for the cycle in progress."""
+class _Tally:
+    """Decide-path accounting since a snapshot of the lifetime counters.
+
+    The cycle in progress counts from a snapshot taken when it started;
+    the closed-cycle totals count from zero, at session open.
+    """
 
     events: int = 0
     warnings: int = 0
     wall_seconds: float = 0.0
-    hits_at_start: int = 0
-    misses_at_start: int = 0
     table_hits: int = 0
     table_misses: int = 0
     fallbacks: int = 0
+    hits_at_start: int = 0
+    misses_at_start: int = 0
     recompiles_at_start: int = 0
     compile_seconds_at_start: float = 0.0
+
+    def __add__(self, other: "_Tally") -> "_Tally":
+        """This tally with ``other``'s counts added (baselines kept)."""
+        return replace(
+            self,
+            events=self.events + other.events,
+            warnings=self.warnings + other.warnings,
+            wall_seconds=self.wall_seconds + other.wall_seconds,
+            table_hits=self.table_hits + other.table_hits,
+            table_misses=self.table_misses + other.table_misses,
+            fallbacks=self.fallbacks + other.fallbacks,
+        )
 
 
 class AuditSession:
@@ -139,11 +156,7 @@ class AuditSession:
         self._state = SESSION_OPEN
         self._cycle = 0
         self._cycles_closed = 0
-        self._events_total = 0
-        self._wall_total = 0.0
-        self._table_hits_total = 0
-        self._table_misses_total = 0
-        self._fallbacks_total = 0
+        self._closed = _Tally()
         self._last_time: float | None = None
         # The simulated adversary learning against this session's published
         # coverage, if the config asks for one. Learning is observational:
@@ -300,11 +313,6 @@ class AuditSession:
         self._counters.table_hits += result.stats.table_hits
         self._counters.table_misses += result.stats.table_misses
         self._counters.fallbacks += result.stats.fallbacks
-        self._events_total += len(events)
-        self._wall_total += result.stats.wall_seconds
-        self._table_hits_total += result.stats.table_hits
-        self._table_misses_total += result.stats.table_misses
-        self._fallbacks_total += result.stats.fallbacks
         wrapped = tuple(
             self._wrap(event, decision, first_sequence + offset)
             for offset, (event, decision) in enumerate(
@@ -322,8 +330,6 @@ class AuditSession:
         self._counters.events += len(landed)
         self._counters.warnings += sum(d.warned for d in landed)
         self._counters.wall_seconds += elapsed
-        self._events_total += len(landed)
-        self._wall_total += elapsed
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -370,12 +376,6 @@ class AuditSession:
             self._regret_sum += regret
             self._entropy_sum += posterior_entropy
             self._gap_sum += exploit_gap
-        if self._cache is not None:
-            sse_solves = self._cache.misses - counters.misses_at_start
-            cache_hits = self._cache.hits - counters.hits_at_start
-            entries = len(self._cache)
-        else:
-            sse_solves, cache_hits, entries = counters.events, 0, 0
         report = CycleReport(
             tenant=self.tenant,
             cycle=self._cycle,
@@ -386,18 +386,7 @@ class AuditSession:
             mean_game_value=float(np.mean(values)) if values else 0.0,
             final_game_value=float(values[-1]) if values else 0.0,
             backend=self._config.backend,
-            sse_solves=sse_solves,
-            cache_hits=cache_hits,
-            cache_entries=entries,
-            wall_seconds=counters.wall_seconds,
-            table_hits=counters.table_hits,
-            table_misses=counters.table_misses,
-            fallbacks=counters.fallbacks,
-            recompiles=self._engine.recompiles - counters.recompiles_at_start,
-            compile_seconds=(
-                self._engine.compile_seconds
-                - counters.compile_seconds_at_start
-            ),
+            **self._counters_since(counters),
             learning_cycles=learning_cycles,
             regret=regret,
             posterior_entropy=posterior_entropy,
@@ -410,34 +399,22 @@ class AuditSession:
         self._engine.reset()
         self._cycle += 1
         self._cycles_closed += 1
+        self._closed += counters
         self._last_time = None
         self._counters = next_counters
         return report
 
     def report(self) -> SessionStats:
         """Cumulative session accounting (any lifecycle state)."""
-        if self._cache is not None:
-            sse_solves = self._cache.misses
-            cache_hits = self._cache.hits
-            entries = len(self._cache)
-        else:
-            sse_solves, cache_hits, entries = self._events_total, 0, 0
+        total = self._closed + self._counters
         return SessionStats(
             tenant=self.tenant,
             state=self._state,
             cycle=self._cycle,
             cycles_closed=self._cycles_closed,
-            events=self._events_total,
-            sse_solves=sse_solves,
-            cache_hits=cache_hits,
-            cache_entries=entries,
-            wall_seconds=self._wall_total,
+            events=total.events,
             budget_remaining=self.budget_remaining,
-            table_hits=self._table_hits_total,
-            table_misses=self._table_misses_total,
-            fallbacks=self._fallbacks_total,
-            recompiles=self._engine.recompiles,
-            compile_seconds=self._engine.compile_seconds,
+            **self._counters_since(total),
             learning_cycles=self._learning_cycles_total,
             regret=self._regret_sum / max(1, self._learning_cycles_total),
             posterior_entropy=(
@@ -460,8 +437,32 @@ class AuditSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _fresh_counters(self) -> _CycleCounters:
-        return _CycleCounters(
+    def _counters_since(self, tally: _Tally) -> dict[str, Any]:
+        """The solver counters accrued since ``tally``'s baselines."""
+        if self._cache is not None:
+            sse_solves = self._cache.misses - tally.misses_at_start
+            cache_hits = self._cache.hits - tally.hits_at_start
+            entries = len(self._cache)
+        else:
+            # Every event but a table hit took the solve path.
+            sse_solves = tally.events - tally.table_hits
+            cache_hits = entries = 0
+        return dict(
+            sse_solves=sse_solves,
+            cache_hits=cache_hits,
+            cache_entries=entries,
+            wall_seconds=tally.wall_seconds,
+            table_hits=tally.table_hits,
+            table_misses=tally.table_misses,
+            fallbacks=tally.fallbacks,
+            recompiles=self._engine.recompiles - tally.recompiles_at_start,
+            compile_seconds=(
+                self._engine.compile_seconds - tally.compile_seconds_at_start
+            ),
+        )
+
+    def _fresh_counters(self) -> _Tally:
+        return _Tally(
             hits_at_start=self._cache.hits if self._cache is not None else 0,
             misses_at_start=self._cache.misses if self._cache is not None else 0,
             recompiles_at_start=self._engine.recompiles,
@@ -518,9 +519,6 @@ class AuditSession:
             self._counters.table_hits += result.stats.table_hits
             self._counters.table_misses += result.stats.table_misses
             self._counters.fallbacks += result.stats.fallbacks
-            self._table_hits_total += result.stats.table_hits
-            self._table_misses_total += result.stats.table_misses
-            self._fallbacks_total += result.stats.fallbacks
         else:
             started = _time.perf_counter()
             decision = self._engine.game.process_alert(
@@ -533,8 +531,6 @@ class AuditSession:
         self._counters.events += 1
         self._counters.warnings += int(decision.warned)
         self._counters.wall_seconds += elapsed
-        self._events_total += 1
-        self._wall_total += elapsed
         return decision
 
     def _wrap(

@@ -21,6 +21,7 @@ from typing import Any, Mapping
 
 from repro.errors import InvalidEventError
 from repro.core.payoffs import PayoffMatrix
+from repro.obs import SolverCounters, merge_counters
 
 #: Session lifecycle states (see :class:`repro.api.v1.AuditSession`).
 SESSION_OPEN = "open"
@@ -189,23 +190,18 @@ class SignalDecision(_Payload):
 
 
 @dataclass(frozen=True)
-class CycleReport(_Payload):
+class CycleReport(_Payload, SolverCounters):
     """Per-cycle accounting returned by ``close_cycle``.
 
-    ``sse_solves``/``cache_hits`` reconcile with ``alerts`` exactly like
-    :class:`~repro.engine.stream.EngineStats` (with a cache attached,
-    ``sse_solves + cache_hits == alerts``; in policy-table mode
-    ``table_hits + fallbacks == alerts`` and only the fallbacks flow
-    through the solve/cache path); ``wall_seconds`` is the decide-path
-    processing time of the cycle. ``recompiles``/``compile_seconds``
-    report table compilation work that landed during this cycle (a
-    recompile triggered by this cycle's close executes at reset and is
-    attributed to the next cycle).
-
-    ``learning_cycles`` is 1 when a learning attacker observed this
-    cycle's coverage at close (see :mod:`repro.learning`), else 0;
-    ``regret``/``posterior_entropy``/``exploit_gap`` are that observation's
-    diagnostics (0.0 without a learning attacker).
+    The solver counters (:class:`~repro.obs.SolverCounters`) reconcile
+    with ``alerts`` exactly like
+    :class:`~repro.engine.stream.EngineStats`; ``wall_seconds`` is the
+    decide-path processing time of the cycle. ``recompiles``/
+    ``compile_seconds`` report table compilation work that landed during
+    this cycle (a recompile triggered by this cycle's close executes at
+    reset and is attributed to the next cycle). ``learning_cycles`` is 1
+    when a learning attacker observed this cycle's coverage at close, and
+    the learning diagnostics are that observation's.
     """
 
     tenant: str
@@ -217,19 +213,6 @@ class CycleReport(_Payload):
     mean_game_value: float
     final_game_value: float
     backend: str
-    sse_solves: int
-    cache_hits: int
-    cache_entries: int
-    wall_seconds: float
-    table_hits: int = 0
-    table_misses: int = 0
-    fallbacks: int = 0
-    recompiles: int = 0
-    compile_seconds: float = 0.0
-    learning_cycles: int = 0
-    regret: float = 0.0
-    posterior_entropy: float = 0.0
-    exploit_gap: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -248,15 +231,12 @@ class CycleReport(_Payload):
 
 
 @dataclass(frozen=True)
-class SessionStats(_Payload):
+class SessionStats(_Payload, SolverCounters):
     """One tenant's cumulative accounting across every cycle so far.
 
-    The table counters are lifetime figures; ``compile_seconds`` includes
-    the initial policy-table compile at session open.
-
-    ``learning_cycles`` counts cycles a learning attacker observed;
-    ``regret``/``posterior_entropy``/``exploit_gap`` average those cycles'
-    diagnostics (0.0 when no learning attacker is attached).
+    The solver counters (:class:`~repro.obs.SolverCounters`) are lifetime
+    figures; ``compile_seconds`` includes the initial policy-table compile
+    at session open.
     """
 
     tenant: str
@@ -264,20 +244,7 @@ class SessionStats(_Payload):
     cycle: int
     cycles_closed: int
     events: int
-    sse_solves: int
-    cache_hits: int
-    cache_entries: int
-    wall_seconds: float
     budget_remaining: float
-    table_hits: int = 0
-    table_misses: int = 0
-    fallbacks: int = 0
-    recompiles: int = 0
-    compile_seconds: float = 0.0
-    learning_cycles: int = 0
-    regret: float = 0.0
-    posterior_entropy: float = 0.0
-    exploit_gap: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -291,11 +258,12 @@ class SessionStats(_Payload):
 
 
 @dataclass(frozen=True)
-class ServiceStats(_Payload):
+class ServiceStats(_Payload, SolverCounters):
     """Service-wide accounting: per-tenant stats plus their merge.
 
-    Counters sum over tenants (sessions own disjoint caches, exactly like
-    the suite's per-worker merge in :meth:`EngineStats.merge`); closed
+    The solver counters merge over tenants by their declared rule
+    (:func:`~repro.obs.merge_counters`, the same merge as
+    :meth:`EngineStats.merge`); sessions own disjoint caches, and closed
     sessions keep contributing their final numbers.
     """
 
@@ -303,20 +271,7 @@ class ServiceStats(_Payload):
     open_sessions: int
     cycles_closed: int
     events: int
-    sse_solves: int
-    cache_hits: int
-    cache_entries: int
-    wall_seconds: float
     per_tenant: tuple[SessionStats, ...] = field(default_factory=tuple)
-    table_hits: int = 0
-    table_misses: int = 0
-    fallbacks: int = 0
-    recompiles: int = 0
-    compile_seconds: float = 0.0
-    learning_cycles: int = 0
-    regret: float = 0.0
-    posterior_entropy: float = 0.0
-    exploit_gap: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -342,35 +297,13 @@ class ServiceStats(_Payload):
         over all observed learning cycles, and merging shard aggregates
         through :meth:`merge` reconstructs the same figure).
         """
-        learning_cycles = sum(s.learning_cycles for s in sessions)
-
-        def _learning_mean(metric: str) -> float:
-            if learning_cycles == 0:
-                return 0.0
-            return (
-                sum(getattr(s, metric) * s.learning_cycles for s in sessions)
-                / learning_cycles
-            )
-
         return cls(
             tenants=len(sessions),
             open_sessions=sum(s.state == SESSION_OPEN for s in sessions),
             cycles_closed=sum(s.cycles_closed for s in sessions),
             events=sum(s.events for s in sessions),
-            sse_solves=sum(s.sse_solves for s in sessions),
-            cache_hits=sum(s.cache_hits for s in sessions),
-            cache_entries=sum(s.cache_entries for s in sessions),
-            wall_seconds=float(sum(s.wall_seconds for s in sessions)),
             per_tenant=sessions,
-            table_hits=sum(s.table_hits for s in sessions),
-            table_misses=sum(s.table_misses for s in sessions),
-            fallbacks=sum(s.fallbacks for s in sessions),
-            recompiles=sum(s.recompiles for s in sessions),
-            compile_seconds=float(sum(s.compile_seconds for s in sessions)),
-            learning_cycles=learning_cycles,
-            regret=_learning_mean("regret"),
-            posterior_entropy=_learning_mean("posterior_entropy"),
-            exploit_gap=_learning_mean("exploit_gap"),
+            **merge_counters(sessions),
         )
 
     @classmethod

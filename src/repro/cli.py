@@ -14,6 +14,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+from repro.solvers.registry import available_backends
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one experiment; returns a process exit code."""
@@ -37,7 +39,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("scipy", "simplex", "analytic", "fictitious_play"),
+        choices=available_backends(),
         default=None,
         help="solver backend (analytic = vectorized LP (2) fast path; "
         "fictitious_play = learning dynamics + exact refinement; "
@@ -460,11 +462,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"attack rate {result.attack_rate:.2f}  "
                   f"quit rate {result.quit_rate:.2f}")
     elif args.experiment == "backends":
-        from repro.solvers.registry import (
-            BACKEND_DESCRIPTIONS,
-            DEFAULT_BACKEND,
-            available_backends,
-        )
+        from repro.solvers.registry import BACKEND_DESCRIPTIONS, DEFAULT_BACKEND
 
         print("Registered solver backends (--backend NAME):")
         for name in available_backends():

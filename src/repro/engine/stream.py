@@ -43,6 +43,7 @@ from repro.core.payoffs import PayoffMatrix
 from repro.core.signaling import _PROB_TOL, SignalingScheme
 from repro.core.sse import SSESolution
 from repro.engine.cache import SSESolutionCache
+from repro.obs import SolverCounters, merge_counters
 from repro.stats.estimator import RollbackEstimator
 from repro.stats.poisson import PoissonReciprocalMoment
 
@@ -110,44 +111,18 @@ def batch_sse_auditor_utility(
 
 
 @dataclass(frozen=True)
-class EngineStats:
+class EngineStats(SolverCounters):
     """Per-cycle accounting of the engine's solver work.
 
-    ``sse_solves`` counts actual LP (2) evaluations; with a cache attached
-    it equals the cache misses of the cycle and
-    ``sse_solves + cache_hits == alerts`` — except in policy-table mode,
-    where ``table_hits + fallbacks == alerts`` and only the fallbacks flow
-    through the solve/cache path (``sse_solves + cache_hits == fallbacks``).
-
-    ``table_misses`` counts failed table lookups (out-of-region budget or
-    rates, uncertified cells); every miss falls back, so it equals
-    ``fallbacks`` for a single engine (the two can diverge under merges of
-    mixed-mode shards). ``recompiles`` and ``compile_seconds`` report the
-    table compilation work that landed since the previous stats snapshot
-    (the initial compile is attributed to the first cycle).
-
-    ``learning_cycles`` counts attacker-learning cycles folded into these
-    stats (see :mod:`repro.learning`); ``regret``, ``posterior_entropy``
-    and ``exploit_gap`` are the cycle-averaged learning diagnostics, 0.0
-    when no learning attacker was attached. Merging averages them weighted
-    by each shard's ``learning_cycles``.
+    The counters and how they reconcile with ``alerts`` are declared in
+    :class:`~repro.obs.SolverCounters`. ``recompiles`` and
+    ``compile_seconds`` report the table compilation work that landed
+    since the previous stats snapshot (the initial compile is attributed
+    to the first cycle).
     """
 
     alerts: int
-    sse_solves: int
-    cache_hits: int
-    cache_entries: int
-    wall_seconds: float
     backend: str
-    table_hits: int = 0
-    table_misses: int = 0
-    fallbacks: int = 0
-    recompiles: int = 0
-    compile_seconds: float = 0.0
-    learning_cycles: int = 0
-    regret: float = 0.0
-    posterior_entropy: float = 0.0
-    exploit_gap: float = 0.0
 
     @property
     def hit_rate(self) -> float:
@@ -169,8 +144,9 @@ class EngineStats:
         """Combine per-shard accounting into one aggregate.
 
         Used by the scenario suite's sharded runner, where each worker
-        process drives its own engine/cache. Counters and entries add
-        (worker caches are disjoint); ``wall_seconds`` adds too, so the
+        process drives its own engine/cache. Counters merge by their
+        declared rule (:func:`~repro.obs.merge_counters`): worker caches
+        are disjoint, so entries add; ``wall_seconds`` adds too, so the
         merged figure is the total worker-side processing time across
         shards (whatever each shard measured — whole-trial time in the
         suite), not elapsed wall-clock (shards overlap in real time).
@@ -182,32 +158,10 @@ class EngineStats:
             raise ExperimentError(
                 f"cannot merge stats across backends: {sorted(backends)}"
             )
-        learning_cycles = sum(s.learning_cycles for s in shards)
-
-        def _learning_mean(metric: str) -> float:
-            if learning_cycles == 0:
-                return 0.0
-            return (
-                sum(getattr(s, metric) * s.learning_cycles for s in shards)
-                / learning_cycles
-            )
-
         return cls(
             alerts=sum(s.alerts for s in shards),
-            sse_solves=sum(s.sse_solves for s in shards),
-            cache_hits=sum(s.cache_hits for s in shards),
-            cache_entries=sum(s.cache_entries for s in shards),
-            wall_seconds=float(sum(s.wall_seconds for s in shards)),
             backend=shards[0].backend,
-            table_hits=sum(s.table_hits for s in shards),
-            table_misses=sum(s.table_misses for s in shards),
-            fallbacks=sum(s.fallbacks for s in shards),
-            recompiles=sum(s.recompiles for s in shards),
-            compile_seconds=float(sum(s.compile_seconds for s in shards)),
-            learning_cycles=learning_cycles,
-            regret=_learning_mean("regret"),
-            posterior_entropy=_learning_mean("posterior_entropy"),
-            exploit_gap=_learning_mean("exploit_gap"),
+            **merge_counters(shards),
         )
 
 

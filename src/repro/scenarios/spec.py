@@ -37,6 +37,7 @@ from repro.ingest.registry import (
     store_for,
 )
 from repro.logstore.store import AlertLogStore, AlertRecord
+from repro.solvers.registry import available_backends
 from repro.stats.diurnal import PROFILE_FACTORIES
 
 #: Payoff settings (which slice of Table 2 the scenario plays).
@@ -69,7 +70,7 @@ CACHE_PER_TRIAL = "per-trial" # fresh (possibly quantized) cache per trial
 CACHE_OFF = "off"             # no caching
 CACHE_MODES = (CACHE_SHARED, CACHE_PER_TRIAL, CACHE_OFF)
 
-_BACKENDS = ("scipy", "simplex", "analytic", "fictitious_play")
+_BACKENDS = available_backends()
 _TIMINGS = (TIMING_UNIFORM, TIMING_LATE)
 _CHARGING = ("conditional", "expected")
 

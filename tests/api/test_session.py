@@ -217,6 +217,36 @@ class TestPolicyTableSession:
         stats = session.report()
         assert stats.recompiles == 1
 
+    @pytest.mark.parametrize("cache_enabled", [True, False])
+    def test_only_fallbacks_count_as_solves(self, cache_enabled):
+        """In table mode only the fallbacks take the solve path, so
+        ``sse_solves + cache_hits == fallbacks`` per cycle and over the
+        session, with or without a cache. The first cycle falls back on
+        every alert (single-column table), the second hits the table."""
+        events = make_events(n=8)
+        session = self._open_table_session(cache_enabled=cache_enabled)
+        engine = session._engine
+        engine._table_options["max_columns"] = 1
+        engine._compile_table()
+
+        session.decide_batch(events[:5])
+        for event in events[5:]:
+            session.decide(event)
+        first = session.close_cycle()
+        mid = session.report()
+        session.decide_batch(events)
+        second = session.close_cycle()
+        stats = session.report()
+
+        assert (first.fallbacks, second.fallbacks) == (len(events), 0)
+        assert second.table_hits == len(events)
+        for counts in (first, second, mid, stats):
+            assert counts.sse_solves + counts.cache_hits == counts.fallbacks
+        assert stats.events == 2 * len(events)
+        assert second.sse_solves == second.cache_hits == 0
+        if not cache_enabled:
+            assert first.sse_solves == stats.sse_solves == len(events)
+
 
 class TestEventValidation:
     def test_wrong_tenant_rejected(self):

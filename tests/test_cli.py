@@ -62,6 +62,16 @@ class TestCli:
         assert "fictitious_play" in out
         assert "* " in out  # the default backend is marked
 
+    def test_backend_choices_come_from_the_registry(self, capsys):
+        from repro.scenarios.spec import _BACKENDS
+        from repro.solvers.registry import available_backends
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "--backend {" + ",".join(available_backends()) + "}" in out
+        assert _BACKENDS == available_backends()
+
 
 class TestSuiteCli:
     def test_list_presets(self, capsys):
