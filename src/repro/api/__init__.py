@@ -17,8 +17,10 @@ additions — every ``v1`` symbol is unchanged):
   per-tenant sequence numbers + idempotency keys, the ndjson codec, and
   the :class:`~repro.api.protocol.ProtocolHandler` every transport
   shares;
+* :mod:`repro.api.wire` — HTTP/1.1 framing, the one module the client,
+  the server and the cluster router share;
 * :mod:`repro.api.http` — :func:`~repro.api.http.serve_http`, a
-  dependency-free ``ThreadingHTTPServer`` binding of the protocol;
+  dependency-free threading HTTP binding of the protocol;
 * :mod:`repro.api.client` — :class:`~repro.api.client.ReproClient` with
   swappable :class:`~repro.api.client.InProcessTransport` /
   :class:`~repro.api.client.HttpTransport`, bit-identical per tenant;

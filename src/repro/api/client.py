@@ -7,10 +7,10 @@ against either transport:
   :class:`~repro.api.protocol.ProtocolHandler` in this process (no
   sockets, no serialization of the transport itself — but the *same*
   envelope round-trip, so behavior matches the wire exactly);
-* :class:`HttpTransport` — persistent stdlib ``http.client`` connections
-  (one per calling thread) to a :func:`repro.api.http.serve_http` server
-  or a cluster router; ``submit`` posts ndjson and consumes the streamed
-  ndjson decision lines.
+* :class:`HttpTransport` — persistent HTTP/1.1 connections (one per
+  calling thread, framed by :mod:`repro.api.wire`) to a
+  :func:`repro.api.http.serve_http` server or a cluster router; ``submit``
+  posts ndjson and consumes the streamed ndjson decision lines.
 
 Because both transports route through the identical handler → service hot
 path, a fixed per-tenant event order produces **bit-identical** decision
@@ -25,7 +25,6 @@ carrying the code, so ``error_code(exc)`` round-trips across the wire.
 
 from __future__ import annotations
 
-import http.client
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from http import HTTPStatus
@@ -48,7 +47,8 @@ from repro.api.protocol import (
     encode_history,
     encode_ndjson,
 )
-from repro.api.http import SUBMIT_CHUNK, ConnectionPool
+from repro.api.http import SUBMIT_CHUNK, ConnectionPool, Reply
+from repro.api.wire import FramingError
 from repro.api.v1.types import (
     AlertEvent,
     CycleReport,
@@ -179,14 +179,14 @@ class HttpTransport:
                     if not line:
                         continue
                     self._collect_submit_line(line, decisions)
-        except (http.client.HTTPException, OSError) as exc:
+        except (FramingError, OSError) as exc:
             raise TransportError(
                 f"cannot reach {self._base}/v1/submit: {exc}"
             ) from exc
         return tuple(decisions)
 
     @staticmethod
-    def _raise_rejection(reply: http.client.HTTPResponse) -> None:
+    def _raise_rejection(reply: Reply) -> None:
         # Pre-stream rejections (bad ndjson body) carry a Response — but an
         # intermediary (reverse proxy, stdlib error page) may answer with
         # something else entirely.
@@ -223,7 +223,7 @@ class HttpTransport:
         try:
             with self._pool.post(self._base, path, data, content_type) as reply:
                 return reply.read()
-        except (http.client.HTTPException, OSError) as exc:
+        except (FramingError, OSError) as exc:
             raise TransportError(
                 f"cannot reach {self._base}{path}: {exc}"
             ) from exc

@@ -35,7 +35,6 @@ the tier to bit-identical per-tenant behavior).
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import threading
 import time
@@ -46,7 +45,15 @@ from tempfile import TemporaryDirectory
 
 from repro.errors import ClusterError, ProtocolError, WorkerUnavailableError
 from repro.api.hashring import DEFAULT_REPLICAS, HashRing
-from repro.api.http import STATUS_BY_CODE, ConnectionPool
+from repro.api import wire
+from repro.api.http import (
+    STATUS_BY_CODE,
+    framing_error_reply,
+    no_such_endpoint,
+    parse_envelope,
+    path_op,
+    split_url,
+)
 from repro.api.protocol import (
     OP_CLOSE,
     OP_CLOSE_CYCLE,
@@ -57,7 +64,6 @@ from repro.api.protocol import (
     OP_REPORT,
     OP_STATS,
     OP_SUBMIT,
-    OPS,
     PROTOCOL_VERSION,
     Response,
     decode_ndjson,
@@ -87,6 +93,104 @@ def _error_body(op: str, exc: BaseException) -> tuple[int, bytes]:
         response.error.code, HTTPStatus.INTERNAL_SERVER_ERROR
     ))
     return status, (response.to_json()).encode("utf-8")
+
+
+class _WorkerPool:
+    """Keep-alive router → worker connections, on the router's event loop.
+
+    Idle connections wait per worker URL (a revived worker binds a new
+    URL, so it always gets fresh connections). An idle connection is
+    reused only while its reader is not at EOF and its transport is
+    open: the loop has already seen a worker's close or reset, so nothing
+    is ever written into a dead worker's socket, and a dead worker fails
+    the fresh connect with ``ConnectionRefusedError`` — the one failure
+    that proves a request was never sent.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[str, list[tuple[asyncio.StreamReader,
+                                         asyncio.StreamWriter]]] = {}
+        self._open: dict[str, set[asyncio.StreamWriter]] = {}
+        self._targets: dict[str, tuple[str, int, str, str, bool]] = {}
+
+    def counts(self) -> dict[str, int]:
+        """Open connections (idle or busy) per worker URL."""
+        return {url: len(open_) for url, open_ in self._open.items()}
+
+    async def post(
+        self, url: str, path: str, body: bytes, content_type: str
+    ) -> tuple[int, str, bytes]:
+        """POST ``body`` to ``url + path``; ``(status, type, body)`` back."""
+        target = self._targets.get(url)
+        if target is None:
+            target = self._targets[url] = split_url(url)
+        host, port, host_header, prefix, _https = target
+        reader, writer = await self._checkout(url, host, port)
+        try:
+            writer.write(wire.format_request(
+                prefix + path, host_header, content_type, body
+            ))
+            await writer.drain()
+            reply = await wire.drive_async(wire.parse_reply(), reader)
+        except BaseException:
+            self._close(url, writer)
+            raise
+        if reply.keep_alive:
+            self._idle.setdefault(url, []).append((reader, writer))
+        else:
+            self._close(url, writer)
+        return (
+            reply.status,
+            reply.headers.get("content-type", "application/json"),
+            reply.body,
+        )
+
+    async def _checkout(self, url: str, host: str, port: int):
+        idle = self._idle.get(url)
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            self._close(url, writer)
+        # Opening a connection is the rare path: also drop idle
+        # connections whose workers are gone (a restarted worker's old
+        # URL is never asked for again).
+        for other_url, connections in list(self._idle.items()):
+            for reader, writer in list(connections):
+                if reader.at_eof() or writer.is_closing():
+                    connections.remove((reader, writer))
+                    self._close(other_url, writer)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=wire.STREAM_LIMIT
+        )
+        self._open.setdefault(url, set()).add(writer)
+        return reader, writer
+
+    def _close(self, url: str, writer: asyncio.StreamWriter) -> None:
+        writer.close()
+        open_ = self._open.get(url)
+        if open_ is not None:
+            open_.discard(writer)
+            if not open_:  # forget the URL with its last connection
+                del self._open[url]
+                self._idle.pop(url, None)
+                self._targets.pop(url, None)
+
+    async def retain(self, urls: set[str] | None = None) -> None:
+        """Close every connection to a URL outside ``urls`` (None: all)."""
+        closing = []
+        for url in list(self._open):
+            if urls is None or url not in urls:
+                self._idle.pop(url, None)
+                self._targets.pop(url, None)
+                closing.extend(self._open.pop(url))
+        for writer in closing:
+            writer.close()
+        for writer in closing:
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
 
 
 class AuditCluster:
@@ -135,9 +239,8 @@ class AuditCluster:
         self._request_timeout = request_timeout
         self._verbose = verbose
         self._ring = HashRing(worker_ids, replicas=replicas)
-        # Router → worker connections, one per forwarding thread and
-        # worker URL (a revived worker's new URL gets a new connection).
-        self._pool = ConnectionPool(request_timeout)
+        # Router → worker connections; used only on the router's loop.
+        self._pool = _WorkerPool()
         supervisor_kwargs = {}
         if max_restarts is not None:
             supervisor_kwargs["max_restarts"] = max_restarts
@@ -147,7 +250,7 @@ class AuditCluster:
         )
         # Routing gate: cleared during a rebalance so new requests park
         # while in-flight ones drain; plain threading primitives because
-        # forwards run on to_thread workers anyway.
+        # a rebalance runs on its caller's thread, not on the loop.
         self._gate = threading.Event()
         self._gate.set()
         self._inflight = 0
@@ -207,6 +310,27 @@ class AuditCluster:
         host, port = self._bound
         return f"http://{host}:{port}"
 
+    def pooled_connections(self) -> dict[str, int]:
+        """Router → worker connections held open, by worker URL."""
+        return self._on_loop(self._pool_counts()) or {}
+
+    async def _pool_counts(self) -> dict[str, int]:
+        return self._pool.counts()
+
+    def _on_loop(self, coroutine):
+        """Run ``coroutine`` on the router's loop from another thread.
+
+        Returns its result, or None (closing the coroutine) when the
+        router is not serving.
+        """
+        loop = self._loop
+        if loop is None or not loop.is_running():
+            coroutine.close()
+            return None
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result(
+            timeout=30.0
+        )
+
     def write_ready_file(self, path: str | Path) -> None:
         """Write the router URL to ``path`` once bound (CI orchestration)."""
         self._ready_path = Path(path)
@@ -256,7 +380,6 @@ class AuditCluster:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self._pool.close()
         self._supervisor.stop_all()
         if self._tempdir is not None:
             self._tempdir.cleanup()
@@ -272,7 +395,8 @@ class AuditCluster:
         self._loop = asyncio.get_running_loop()
         self._stop_async = asyncio.Event()
         server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=wire.STREAM_LIMIT,
         )
         self._bound = server.sockets[0].getsockname()[:2]
         if self._ready_path is not None:
@@ -284,6 +408,7 @@ class AuditCluster:
             server.close()
             await self._close_clients()
             await server.wait_closed()
+            await self._pool.retain(None)
 
     async def _close_clients(self) -> None:
         """End every kept-alive client connection before the loop stops.
@@ -299,120 +424,86 @@ class AuditCluster:
             await asyncio.wait(handlers, timeout=10.0)
 
     # ------------------------------------------------------------------
-    # HTTP front door (hand-rolled HTTP/1.1 over asyncio streams)
+    # HTTP front door (asyncio streams, framed by repro.api.wire)
     # ------------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
         self._clients[writer] = asyncio.current_task()
         try:
             while True:
-                parsed = await self._read_request(reader)
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                close = headers.get("connection", "").lower() == "close"
                 try:
-                    status, ctype, payload = await self._route(
-                        method, path, body
+                    request = await wire.drive_async(
+                        wire.parse_request(), reader, writer
                     )
+                except wire.FramingError as exc:
+                    writer.write(framing_error_reply(exc))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                try:
+                    status, ctype, payload = await self._route(request)
                 except Exception as exc:  # router bug or worker loss
                     status, payload = _error_body("healthz", exc)
                     ctype = "application/json"
-                head = (
-                    f"HTTP/1.1 {status} "
-                    f"{HTTPStatus(status).phrase}\r\n"
-                    f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: {'close' if close else 'keep-alive'}\r\n"
-                    "\r\n"
-                ).encode("ascii")
-                writer.write(head + payload)
+                writer.write(wire.format_response(
+                    status, ctype, payload, request.reply_connection
+                ))
                 await writer.drain()
-                if close:
+                if not request.keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError, ConnectionError, ValueError
-        ):
-            pass  # malformed request or client went away
+        except OSError:
+            pass  # the client went away, possibly mid-message
         finally:
             self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except OSError:
                 pass
-
-    async def _read_request(self, reader):
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        method, path, _version = request_line.decode("ascii").split()
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            parts = []
-            while True:
-                size_line = await reader.readline()
-                size = int(size_line.strip().split(b";")[0], 16)
-                if size == 0:
-                    await reader.readline()
-                    break
-                parts.append(await reader.readexactly(size))
-                await reader.readexactly(2)
-            body = b"".join(parts)
-        else:
-            length = int(headers.get("content-length", 0))
-            if length > 0:
-                body = await reader.readexactly(length)
-        return method, path, headers, body
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
     async def _route(
-        self, method: str, path: str, body: bytes
+        self, request: wire.HttpRequest
     ) -> tuple[int, str, bytes]:
+        method, path, body = request.method, request.target, request.body
         await self._enter()
         try:
             if method == "GET" and path == "/healthz":
-                payload = await asyncio.to_thread(self._health_fanin)
+                payload = await self._health_fanin()
                 status = 200 if payload["ok"] else 503
                 return status, "application/json", _dump(payload)
             if method == "GET" and path == "/stats":
-                merged = await asyncio.to_thread(self._stats_fanin)
+                merged = await self._stats_fanin()
                 return 200, "application/json", _dump(
                     {"stats": merged.to_dict()}
                 )
             if method == "GET" and path == "/cluster":
                 return 200, "application/json", _dump(self._topology())
-            op = self._path_op(path) if method == "POST" else None
+            op = path_op(path) if method == "POST" else None
             if op is None:
-                _status, payload = _error_body("healthz", ProtocolError(
-                    f"no such endpoint {method} {path!r}; "
-                    f"POST /v1/<op> with op in {OPS}"
-                ))
+                _status, payload = _error_body(
+                    "healthz", no_such_endpoint(method, path)
+                )
                 return int(HTTPStatus.NOT_FOUND), "application/json", payload
             if op == OP_SUBMIT:
                 return await self._submit_fanout(body)
             if op in (OP_STATS, OP_HEALTHZ):
-                return await asyncio.to_thread(self._envelope_fanin, op)
+                # Fan-ins answer here, so the envelope is checked here,
+                # exactly as a worker checks it.
+                try:
+                    parse_envelope(op, body)
+                except ProtocolError as exc:
+                    status, payload = _error_body(op, exc)
+                    return status, "application/json", payload
+                return await self._envelope_fanin(op)
             worker_id, retry_safe = self._routing_target(op, body)
-            status, ctype, payload = await asyncio.to_thread(
-                self._forward,
-                worker_id,
-                f"/v1/{op}",
-                body,
-                retry_safe,
-                op,
+            return await self._forward(
+                worker_id, f"/v1/{op}", body, retry_safe, op
             )
-            return status, ctype, payload
         finally:
             self._exit()
 
@@ -428,14 +519,6 @@ class AuditCluster:
     def _exit(self) -> None:
         with self._count_lock:
             self._inflight -= 1
-
-    @staticmethod
-    def _path_op(path: str) -> str | None:
-        prefix = "/v1/"
-        if not path.startswith(prefix):
-            return None
-        op = path[len(prefix):].strip("/")
-        return op if op in OPS else None
 
     def _routing_target(self, op: str, body: bytes) -> tuple[str, bool]:
         """The shard for this request plus its retry classification.
@@ -473,7 +556,7 @@ class AuditCluster:
     # Forwarding with supervision-aware retry
     # ------------------------------------------------------------------
 
-    def _forward(
+    async def _forward(
         self,
         worker_id: str,
         path: str,
@@ -485,30 +568,33 @@ class AuditCluster:
         """POST to one shard; revive-and-retry per the idempotency rules."""
         last_exc: BaseException | None = None
         for attempt in range(MAX_FORWARD_ATTEMPTS):
-            try:
-                url = self._supervisor.ensure(worker_id)
-            except WorkerUnavailableError as exc:
-                status, payload = _error_body(op, exc)
-                return status, "application/json", payload
-            try:
-                with self._pool.post(url, path, body, content_type) as reply:
-                    # Worker-produced error envelopes pass through verbatim.
-                    return (
-                        reply.status,
-                        reply.headers.get("Content-Type", "application/json"),
-                        reply.read(),
+            url = self._supervisor.live_url(worker_id)
+            if url is None:
+                # Dead worker or a restart in progress: reviving blocks.
+                try:
+                    url = await asyncio.to_thread(
+                        self._supervisor.ensure, worker_id
                     )
-            except (http.client.HTTPException, OSError) as exc:
+                except WorkerUnavailableError as exc:
+                    status, payload = _error_body(op, exc)
+                    return status, "application/json", payload
+            try:
+                # Worker-produced error envelopes pass through verbatim.
+                return await asyncio.wait_for(
+                    self._pool.post(url, path, body, content_type),
+                    self._request_timeout,
+                )
+            except (OSError, wire.FramingError) as exc:
                 last_exc = exc
                 # Only a refused connect proves nothing was sent: the pool
-                # never writes to a socket whose peer has gone.
+                # never writes to a connection whose worker has gone.
                 never_sent = isinstance(exc, ConnectionRefusedError)
                 if not (never_sent or retry_safe):
                     break
-                # The worker died under us; ensure() on the next loop
-                # iteration restarts it (WAL replay first). A breath here
-                # lets the OS reap the dead process.
-                time.sleep(0.05 * (attempt + 1))
+                # The worker died under us; the next attempt restarts it
+                # (WAL replay first). A breath here lets the OS reap the
+                # dead process.
+                await asyncio.sleep(0.05 * (attempt + 1))
         assert last_exc is not None
         status, payload = _error_body(op, WorkerUnavailableError(
             f"shard {worker_id!r} failed mid-request and "
@@ -537,8 +623,7 @@ class AuditCluster:
             groups.setdefault(owner, []).append(event)
 
         async def _one(worker_id: str, group: list[AlertEvent]):
-            status, _ctype, payload = await asyncio.to_thread(
-                self._forward,
+            status, _ctype, payload = await self._forward(
                 worker_id,
                 "/v1/submit",
                 encode_ndjson(group).encode("utf-8"),
@@ -586,17 +671,30 @@ class AuditCluster:
     # stats / healthz: fan in across every shard
     # ------------------------------------------------------------------
 
-    def _stats_fanin(self) -> ServiceStats:
+    async def _fanin(self, op: str) -> list[tuple[str, dict | BaseException]]:
+        """``(worker_id, reply document or failure)`` from every shard."""
+        workers = self._ring.workers
+        body = _dump({"op": op, "version": PROTOCOL_VERSION})
+        replies = await asyncio.gather(
+            *(self._forward(worker_id, f"/v1/{op}", body, True, op)
+              for worker_id in workers),
+            return_exceptions=True,
+        )
+        docs: list[tuple[str, dict | BaseException]] = []
+        for worker_id, reply in zip(workers, replies):
+            if not isinstance(reply, BaseException):
+                try:
+                    reply = json.loads(reply[2])
+                except ValueError as exc:
+                    reply = exc
+            docs.append((worker_id, reply))
+        return docs
+
+    async def _stats_fanin(self) -> ServiceStats:
         parts: list[ServiceStats] = []
-        for worker_id in self._ring.workers:
-            status, _ctype, payload = self._forward(
-                worker_id,
-                "/v1/stats",
-                _dump({"op": OP_STATS, "version": PROTOCOL_VERSION}),
-                True,
-                OP_STATS,
-            )
-            doc = json.loads(payload)
+        for worker_id, doc in await self._fanin(OP_STATS):
+            if isinstance(doc, BaseException):
+                raise doc
             if not doc.get("ok"):
                 raise WorkerUnavailableError(
                     f"shard {worker_id!r} stats failed: {doc.get('error')}"
@@ -604,36 +702,23 @@ class AuditCluster:
             parts.append(ServiceStats.from_dict(doc["payload"]["stats"]))
         return ServiceStats.merge(tuple(parts))
 
-    def _health_fanin(self) -> dict:
+    async def _health_fanin(self) -> dict:
         tenants: list[str] = []
         workers: dict[str, dict] = {}
         all_ok = True
-        for worker_id in self._ring.workers:
+        for worker_id, doc in await self._fanin(OP_HEALTHZ):
+            ok = not isinstance(doc, BaseException) and bool(doc.get("ok"))
+            if ok:
+                tenants.extend(doc["payload"]["tenants"])
             entry: dict = {
-                "alive": self._supervisor.is_alive(worker_id),
+                "alive": ok or self._supervisor.is_alive(worker_id),
                 "restarts": self._supervisor.restarts(worker_id),
                 "pid": self._supervisor.pid(worker_id),
+                "ok": ok,
             }
-            try:
-                status, _ctype, payload = self._forward(
-                    worker_id,
-                    "/v1/healthz",
-                    _dump({"op": OP_HEALTHZ, "version": PROTOCOL_VERSION}),
-                    True,
-                    OP_HEALTHZ,
-                )
-                doc = json.loads(payload)
-                ok = bool(doc.get("ok"))
-                if ok:
-                    tenants.extend(doc["payload"]["tenants"])
-                    entry["alive"] = True
-                    entry["pid"] = self._supervisor.pid(worker_id)
-                    entry["restarts"] = self._supervisor.restarts(worker_id)
-                entry["ok"] = ok
-            except Exception as exc:
-                entry["ok"] = False
-                entry["error"] = str(exc)
-            all_ok = all_ok and entry["ok"]
+            if isinstance(doc, BaseException):
+                entry["error"] = str(doc)
+            all_ok = all_ok and ok
             workers[worker_id] = entry
         return {
             "ok": all_ok,
@@ -643,15 +728,15 @@ class AuditCluster:
             "workers": workers,
         }
 
-    def _envelope_fanin(self, op: str) -> tuple[int, str, bytes]:
+    async def _envelope_fanin(self, op: str) -> tuple[int, str, bytes]:
         try:
             if op == OP_STATS:
-                merged = self._stats_fanin()
+                merged = await self._stats_fanin()
                 response = Response.success(
                     OP_STATS, {"stats": merged.to_dict()}
                 )
             else:
-                health = self._health_fanin()
+                health = await self._health_fanin()
                 response = Response.success(OP_HEALTHZ, health)
             return 200, "application/json", response.to_json().encode("utf-8")
         except Exception as exc:
@@ -768,8 +853,13 @@ class AuditCluster:
             for worker_id in sorted(affected - {removed}):
                 self._supervisor.start(worker_id)
             self._ring = new_ring
+            # 6. Close the router's connections to retired worker URLs.
+            self._on_loop(self._pool.retain({
+                self._supervisor.url(worker_id)
+                for worker_id in new_ring.workers
+            }))
         finally:
-            # 6. Resume routing.
+            # 7. Resume routing.
             self._gate.set()
 
 

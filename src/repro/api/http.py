@@ -1,8 +1,8 @@
 """A dependency-free HTTP binding of the wire protocol.
 
 :func:`serve_http` exposes one :class:`~repro.api.v1.AuditService` over a
-stdlib :class:`~http.server.ThreadingHTTPServer`. Every operation of the
-protocol plane maps to one endpoint:
+stdlib threading TCP server. Every operation of the protocol plane maps to
+one endpoint:
 
 ====================  ======  ==============================================
 path                  method  body
@@ -29,29 +29,32 @@ and the per-tenant determinism contract are shared, not reimplemented.
 Thread safety comes from the handler's dispatch lock; the threading server
 only parallelizes socket I/O.
 
-Connections are HTTP/1.1 keep-alive on both ends. The server keeps a
-connection open across requests (announcing any close it makes), and
-:class:`ConnectionPool` is the client half shared by
-:class:`~repro.api.client.HttpTransport` and the cluster router: one
-persistent connection per thread and base URL, checked for a peer close
-before every reuse.
+Messages on both ends are framed by :mod:`repro.api.wire`, and
+connections are HTTP/1.1 keep-alive. The server keeps a connection open
+across requests (announcing any close it makes), and
+:class:`ConnectionPool` is the client half behind
+:class:`~repro.api.client.HttpTransport`: one persistent connection per
+thread and base URL, checked for a peer close before every reuse.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import select
 import socket
+import socketserver
+import sys
 import threading
+import urllib.parse
 from contextlib import contextmanager
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import ProtocolError
+from repro.api import wire
 from repro.api.protocol import (
+    OP_HEALTHZ,
     OP_STATS,
     OPS,
     OP_SUBMIT,
@@ -92,13 +95,14 @@ def _status_for(response: Response) -> int:
     ))
 
 
-def _split_url(base_url: str) -> tuple[str, str, str]:
-    """``(scheme, host[:port], path prefix)`` of an ``http(s)://`` URL."""
-    scheme, _, rest = base_url.partition("://")
-    if scheme not in ("http", "https"):
+def split_url(base_url: str) -> tuple[str, int, str, str, bool]:
+    """``(host, port, Host header, path prefix, https)`` of a base URL."""
+    parts = urllib.parse.urlsplit(base_url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) URL: {base_url!r}")
-    netloc, slash, prefix = rest.partition("/")
-    return scheme, netloc, (slash + prefix).rstrip("/")
+    https = parts.scheme == "https"
+    port = parts.port or (443 if https else 80)
+    return parts.hostname, port, parts.netloc, parts.path.rstrip("/"), https
 
 
 def _peer_closed(sock: socket.socket) -> bool:
@@ -116,15 +120,80 @@ def _peer_closed(sock: socket.socket) -> bool:
     return bool(readable)
 
 
+class _Connection:
+    """One client socket (``TCP_NODELAY``; TLS for ``https``) to a base URL."""
+
+    __slots__ = ("sock", "rfile", "host", "prefix")
+
+    def __init__(self, base_url: str, timeout: float) -> None:
+        hostname, port, self.host, self.prefix, https = split_url(base_url)
+        sock = socket.create_connection((hostname, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if https:
+                import ssl
+
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=hostname
+                )
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+class Reply:
+    """A reply read from a pooled connection.
+
+    ``status`` and ``headers`` (by lower-case name) arrive with the head.
+    Read the body whole with :meth:`read`, or iterate it line by line as
+    it streams in.
+    """
+
+    def __init__(self, head: wire.HttpReply, rfile) -> None:
+        self.status = head.status
+        self.headers = head.headers
+        self.keep_alive = head.keep_alive
+        self._rfile = rfile
+        #: True once the body has been read to its end.
+        self.complete = False
+
+    def read(self) -> bytes:
+        """The whole body."""
+        body = wire.drive(
+            wire.parse_body(self.headers, until_eof=True), self._rfile
+        )
+        self.complete = True
+        return body
+
+    def __iter__(self) -> Iterator[bytes]:
+        """Body lines (``b"\\n"`` kept), each as soon as its chunk lands."""
+        if self.headers.get("transfer-encoding", "").lower() != "chunked":
+            yield from self.read().splitlines(keepends=True)
+            return
+        pending = b""
+        while piece := wire.drive(wire.parse_chunk(), self._rfile):
+            *lines, pending = (pending + piece).split(b"\n")
+            for line in lines:
+                yield line + b"\n"
+        self.complete = True
+        if pending:
+            yield pending
+
+
 class ConnectionPool:
     """Persistent HTTP/1.1 client connections: one per thread and base URL.
 
-    The client side of the keep-alive wire path:
-    :class:`~repro.api.client.HttpTransport` (client → server or router)
-    and :class:`~repro.api.cluster.AuditCluster` (router → worker) each
-    hold one. A thread reuses its connection to a base URL for every
-    request, so a request costs no TCP handshake and the server no new
-    handler thread.
+    The blocking client side of the keep-alive wire path, held by
+    :class:`~repro.api.client.HttpTransport`. A thread reuses its
+    connection to a base URL for every request, so a request costs no TCP
+    handshake and the server no new handler thread. Requests and replies
+    are framed by :mod:`repro.api.wire`.
 
     Before a pooled socket is reused, :func:`_peer_closed` checks it for
     peer EOF; a dropped connection (killed or restarted server) is
@@ -138,12 +207,12 @@ class ConnectionPool:
         self._timeout = timeout
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._open: set[http.client.HTTPConnection] = set()
+        self._open: set[_Connection] = set()
 
     @contextmanager
     def post(
         self, base_url: str, path: str, body: bytes, content_type: str
-    ) -> Iterator[http.client.HTTPResponse]:
+    ) -> Iterator[Reply]:
         """POST ``body`` to ``base_url + path`` and yield the reply.
 
         Read the reply to its end inside the ``with`` block: a connection
@@ -151,21 +220,20 @@ class ConnectionPool:
         instead of going back to the pool.
         """
         connection = self._checkout(base_url)
-        reply = None
         try:
-            connection.request(
-                "POST",
-                _split_url(base_url)[2] + path,
-                body=body,
-                headers={"Content-Type": content_type},
+            connection.sock.sendall(wire.format_request(
+                connection.prefix + path, connection.host, content_type, body
+            ))
+            reply = Reply(
+                wire.drive(wire.parse_reply_head(), connection.rfile),
+                connection.rfile,
             )
-            reply = connection.getresponse()
             yield reply
         except BaseException:
-            self._discard(base_url, connection, reply)
+            self._discard(base_url, connection)
             raise
-        if not reply.isclosed():
-            self._discard(base_url, connection, reply)
+        if not (reply.complete and reply.keep_alive):
+            self._discard(base_url, connection)
 
     def close(self) -> None:
         """Close every pooled connection, on every thread.
@@ -177,47 +245,33 @@ class ConnectionPool:
         for connection in connections:
             connection.close()
 
-    def _connections(self) -> dict[str, http.client.HTTPConnection]:
+    def _connections(self) -> dict[str, _Connection]:
         try:
             return self._local.connections
         except AttributeError:
             self._local.connections = {}
             return self._local.connections
 
-    def _checkout(self, base_url: str) -> http.client.HTTPConnection:
+    def _checkout(self, base_url: str) -> _Connection:
         connections = self._connections()
         connection = connections.get(base_url)
         if connection is not None:
-            if connection.sock is not None and not _peer_closed(
-                connection.sock
-            ):
+            if not _peer_closed(connection.sock):
                 return connection
             self._discard(base_url, connection)
         # Opening a connection is the rare path: also drop this thread's
-        # connections whose peers are gone (a restarted worker's old URL
+        # connections whose peers are gone (a restarted server's old URL
         # is never asked for again).
         for url, other in list(connections.items()):
-            if other.sock is None or _peer_closed(other.sock):
+            if _peer_closed(other.sock):
                 self._discard(url, other)
-        scheme, netloc, _prefix = _split_url(base_url)
-        klass = (
-            http.client.HTTPSConnection if scheme == "https"
-            else http.client.HTTPConnection
-        )
-        connection = klass(netloc, timeout=self._timeout)
+        connection = _Connection(base_url, self._timeout)
         connections[base_url] = connection
         with self._lock:
             self._open.add(connection)
         return connection
 
-    def _discard(
-        self,
-        base_url: str,
-        connection: http.client.HTTPConnection,
-        reply: http.client.HTTPResponse | None = None,
-    ) -> None:
-        if reply is not None:
-            reply.close()
+    def _discard(self, base_url: str, connection: _Connection) -> None:
         connection.close()
         connections = self._connections()
         if connections.get(base_url) is connection:
@@ -226,25 +280,83 @@ class ConnectionPool:
             self._open.discard(connection)
 
 
-class _ApiRequestHandler(BaseHTTPRequestHandler):
-    """One HTTP exchange → one protocol dispatch.
+def parse_envelope(op: str, raw: bytes) -> Request:
+    """The request envelope of a ``POST /v1/<op>`` body.
 
-    Connections are HTTP/1.1 keep-alive: every response carries its length
-    (``Content-Length`` or a terminated chunked stream), and whenever the
-    handler does close the connection it says so in a ``Connection: close``
-    header first. ``TCP_NODELAY`` stops the header and body writes of one
-    response from waiting on the peer's delayed ACK.
+    Raises :class:`~repro.errors.ProtocolError` when ``raw`` is not a
+    valid envelope for ``op``.
+    """
+    try:
+        request = Request.from_json(raw.decode("utf-8"))
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        raise ProtocolError(
+            f"request body is not a valid envelope: {exc}"
+        ) from exc
+    if request.op != op:
+        raise ProtocolError(
+            f"envelope op {request.op!r} does not match endpoint /v1/{op}"
+        )
+    return request
+
+
+def path_op(path: str) -> str | None:
+    """The operation a ``/v1/<op>`` path names, or None."""
+    prefix = "/v1/"
+    if not path.startswith(prefix):
+        return None
+    op = path[len(prefix):].strip("/")
+    return op if op in OPS else None
+
+
+def no_such_endpoint(method: str, path: str) -> ProtocolError:
+    """The error for a request no endpoint serves (answered with 404)."""
+    return ProtocolError(
+        f"no such endpoint {method} {path!r}; "
+        f"POST /v1/<op> with op in {OPS}"
+    )
+
+
+def framing_error_reply(exc: wire.FramingError) -> bytes:
+    """The reply to a request that cannot be framed; the server closes
+    the connection after it."""
+    return wire.format_response(
+        int(exc.status), "application/json", _json_bytes(_error_doc(exc)),
+        "close",
+    )
+
+
+def _error_doc(exc: ProtocolError | wire.FramingError) -> dict:
+    return {"ok": False, "error": {"code": "protocol_error",
+                                   "message": str(exc)}}
+
+
+def _json_bytes(document: dict) -> bytes:
+    return json.dumps(document, sort_keys=True).encode("utf-8")
+
+
+def _lines_chunk(lines: list[str]) -> bytes:
+    """One chunk of ndjson lines (nothing for an empty list)."""
+    return wire.format_chunk(
+        ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    )
+
+
+class _ApiRequestHandler(socketserver.StreamRequestHandler):
+    """One connection: a loop of HTTP exchanges, each one protocol dispatch.
+
+    Requests are framed by :mod:`repro.api.wire`. Connections are HTTP/1.1
+    keep-alive: every response carries its length (``Content-Length`` or
+    a terminated chunked stream), and whenever the handler closes the
+    connection it says so in a ``Connection: close`` header first.
+    ``TCP_NODELAY`` keeps a streamed reply's writes from waiting on the
+    peer's delayed ACK.
     """
 
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-api/1"
     disable_nagle_algorithm = True
 
     # The ProtocolHandler is attached to the server object by ReproHttpServer.
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
 
     def setup(self) -> None:
         super().setup()
@@ -254,71 +366,65 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         self.server.live_connections.discard(self.connection)
         super().finish()
 
-    # ------------------------------------------------------------------
-    # GET: liveness and stats
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        handler: ProtocolHandler = self.server.protocol_handler
-        self._read_body()
-        if self.path == "/healthz":
-            response = handler.handle(Request(op="healthz"))
-        elif self.path == "/stats":
-            response = handler.handle(Request(op=OP_STATS))
-        else:
-            self._send_json(
-                int(HTTPStatus.NOT_FOUND),
-                {"ok": False, "error": {"code": "protocol_error",
-                                        "message": f"no such path {self.path}"}},
-            )
-            return
-        body = (
-            response.payload if response.ok
-            else {"ok": False, "error": response.error.to_dict()}
-        )
-        self._send_json(_status_for(response), body)
-
-    # ------------------------------------------------------------------
-    # POST: the protocol operations
-    # ------------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        # Read the body first, whatever the endpoint: on a kept-alive
-        # connection unread bytes would be parsed as the next request.
-        raw = self._read_body()
-        op = self._path_op()
-        if op is None:
-            self._send_json(
-                int(HTTPStatus.NOT_FOUND),
-                {"ok": False, "error": {
-                    "code": "protocol_error",
-                    "message": (f"no such endpoint {self.path!r}; "
-                                f"POST /v1/<op> with op in {OPS}"),
-                }},
-            )
-            return
-        if op == OP_SUBMIT:
-            self._do_submit(raw)
-            return
+    def handle(self) -> None:
         try:
-            request = Request.from_json(raw.decode("utf-8"))
-            if request.op != op:
-                raise ProtocolError(
-                    f"envelope op {request.op!r} does not match endpoint "
-                    f"/v1/{op}"
-                )
-        except ProtocolError as exc:
-            self._send_response(Response.failure(op, exc))
-            return
-        except Exception as exc:
-            self._send_response(Response.failure(
-                op, ProtocolError(f"request body is not a valid envelope: {exc}")
-            ))
-            return
-        handler: ProtocolHandler = self.server.protocol_handler
-        self._send_response(handler.handle(request))
+            while True:
+                try:
+                    request = wire.drive(
+                        wire.parse_request(), self.rfile, self.wfile
+                    )
+                except wire.FramingError as exc:
+                    self.wfile.write(framing_error_reply(exc))
+                    return
+                if request is None:
+                    return
+                if self.server.verbose:
+                    sys.stderr.write(
+                        f"{self.client_address[0]} - \"{request.method} "
+                        f"{request.target} {request.version}\"\n"
+                    )
+                self._dispatch(request)
+                if not request.keep_alive:
+                    return
+        except OSError:
+            pass  # the client went away, possibly mid-message
 
-    def _do_submit(self, raw: bytes) -> None:
+    def _dispatch(self, request: wire.HttpRequest) -> None:
+        handler: ProtocolHandler = self.server.protocol_handler
+        connection = request.reply_connection
+        op = path_op(request.target) if request.method == "POST" else None
+        if op == OP_SUBMIT:
+            self._submit(request.body, connection)
+            return
+        if op is not None:
+            try:
+                envelope = parse_envelope(op, request.body)
+            except ProtocolError as exc:
+                response = Response.failure(op, exc)
+            else:
+                response = handler.handle(envelope)
+            self._send(
+                _status_for(response), response.to_json().encode("utf-8"),
+                connection,
+            )
+            return
+        if request.method == "GET" and request.target in _GET_OPS:
+            response = handler.handle(Request(op=_GET_OPS[request.target]))
+            body = (
+                response.payload if response.ok
+                else {"ok": False, "error": response.error.to_dict()}
+            )
+            self._send(_status_for(response), _json_bytes(body), connection)
+            return
+        self._send(
+            int(HTTPStatus.NOT_FOUND),
+            _json_bytes(_error_doc(
+                no_such_endpoint(request.method, request.target)
+            )),
+            connection,
+        )
+
+    def _submit(self, raw: bytes, connection: str | None) -> None:
         """The streaming hot path: ndjson events in, ndjson decisions out.
 
         Decisions leave in one chunk per :data:`SUBMIT_CHUNK` events — the
@@ -331,83 +437,48 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         try:
             events = tuple(decode_ndjson(raw.decode("utf-8"), AlertEvent))
         except Exception as exc:
-            self._send_response(Response.failure(
+            response = Response.failure(
                 OP_SUBMIT,
                 exc if isinstance(exc, ProtocolError)
                 else ProtocolError(f"submit body is not ndjson events: {exc}"),
-            ))
+            )
+            self._send(
+                _status_for(response), response.to_json().encode("utf-8"),
+                connection,
+            )
             return
-        self.send_response(int(HTTPStatus.OK))
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self._end_headers()
+        write = self.wfile.write
+        write(wire.format_response(
+            int(HTTPStatus.OK), "application/x-ndjson", None, connection
+        ))
         lines: list[str] = []
         try:
             for decision in handler.submit_stream(events, SUBMIT_CHUNK):
                 lines.append(decision.to_json())
                 if len(lines) == SUBMIT_CHUNK:
-                    self._write_chunk(lines)
+                    write(_lines_chunk(lines))
                     lines = []
         except OSError:
-            # The client went away mid-stream; there is nobody to tell.
-            self.close_connection = True
-            return
+            raise  # the client went away mid-stream; nobody to tell
         except Exception as exc:
             # Headers are gone; surface the failure as a trailer line the
             # client-side codec reports with its stable code.
             lines.append(Response.failure(OP_SUBMIT, exc).to_json())
-        try:
-            self._write_chunk(lines)
-            self.wfile.write(b"0\r\n\r\n")
-        except OSError:
-            self.close_connection = True
+        write(_lines_chunk(lines) + wire.LAST_CHUNK)
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
+    def _send(self, status: int, data: bytes, connection: str | None) -> None:
+        self.wfile.write(wire.format_response(
+            status, "application/json", data, connection
+        ))
 
-    def _path_op(self) -> str | None:
-        prefix = "/v1/"
-        if not self.path.startswith(prefix):
-            return None
-        op = self.path[len(prefix):].strip("/")
-        return op if op in OPS else None
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length) if length > 0 else b""
+#: ``GET`` paths and the operation each one runs.
+_GET_OPS = {"/healthz": OP_HEALTHZ, "/stats": OP_STATS}
 
-    def _end_headers(self) -> None:
-        """End the header block, announcing a close the handler will do.
 
-        ``close_connection`` is already set here when the client asked for
-        ``Connection: close`` or spoke HTTP/1.0.
-        """
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-
-    def _write_chunk(self, lines: list[str]) -> None:
-        """One chunk of ndjson lines (nothing for an empty list)."""
-        if lines:
-            data = ("\n".join(lines) + "\n").encode("utf-8")
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
-
-    def _send_response(self, response: Response) -> None:
-        self._send_bytes(
-            _status_for(response), response.to_json().encode("utf-8")
-        )
-
-    def _send_json(self, status: int, body: dict) -> None:
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self._send_bytes(status, data)
-
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self._end_headers()
-        self.wfile.write(data)
+class _ThreadingServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class ReproHttpServer:
@@ -427,10 +498,9 @@ class ReproHttpServer:
         verbose: bool = False,
     ) -> None:
         self.handler = ProtocolHandler(service)
-        self._httpd = ThreadingHTTPServer((host, port), _ApiRequestHandler)
+        self._httpd = _ThreadingServer((host, port), _ApiRequestHandler)
         self._httpd.protocol_handler = self.handler
         self._httpd.verbose = verbose
-        self._httpd.daemon_threads = True
         self._httpd.live_connections = set()
         self._thread: threading.Thread | None = None
         self._started = False
@@ -526,6 +596,7 @@ def serve_http(
 __all__ = [
     "STATUS_BY_CODE",
     "ConnectionPool",
+    "Reply",
     "SUBMIT_CHUNK",
     "ReproHttpServer",
     "serve_http",

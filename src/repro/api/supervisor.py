@@ -24,7 +24,8 @@ learns each bound URL over a pipe, and keeps them alive:
 The supervisor is transport-agnostic glue: routing lives in
 :mod:`repro.api.cluster`, durability in the shard WALs. Everything here
 is thread-safe behind one lock, so the router's event loop, its health
-monitor, and on-demand revives can all call in concurrently.
+monitor, and on-demand revives can all call in concurrently; the
+introspection the event loop calls never waits on that lock.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class _WorkerHandle:
 
     @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        process = self.process
+        return process is not None and process.is_alive()
 
 
 class WorkerSupervisor:
@@ -179,15 +181,37 @@ class WorkerSupervisor:
         return self._handle(worker_id).restarts
 
     def is_alive(self, worker_id: str) -> bool:
-        """Whether the worker's process is currently running."""
-        with self._lock:
-            return self._handle(worker_id).alive
+        """Whether the worker's process is currently running.
+
+        Reads without the lock, so it never waits out a restart.
+        """
+        return self._handle(worker_id).alive
 
     def pid(self, worker_id: str) -> int | None:
         """The worker's process id (None before the first start)."""
-        with self._lock:
+        process = self._handle(worker_id).process
+        return process.pid if process is not None else None
+
+    def url(self, worker_id: str) -> str | None:
+        """The worker's last bound URL (None while it is stopped)."""
+        return self._handle(worker_id).url
+
+    def live_url(self, worker_id: str) -> str | None:
+        """The worker's URL if it is serving right now, without waiting.
+
+        None means :meth:`ensure` must run first: the worker is dead or
+        down, or another thread holds the lock (a restart in progress).
+        The router's event loop calls this before every forward.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
             handle = self._handle(worker_id)
-            return handle.process.pid if handle.process is not None else None
+            if handle.failed_reason is None and handle.alive:
+                return handle.url
+            return None
+        finally:
+            self._lock.release()
 
     def _handle(self, worker_id: str) -> _WorkerHandle:
         try:

@@ -14,16 +14,19 @@ WAL's flush-per-append contract — everything acknowledged is on disk —
 so these tests are exact, not timing-dependent.
 """
 
+import asyncio
 import dataclasses
 import json
 import logging
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.errors import WorkerUnavailableError
-from repro.api import ReproClient, serve_cluster
+from repro.api import ReproClient, serve_cluster, serve_http
 from repro.api.v1 import AuditService
 
 from apihelpers import make_config, make_events, make_history
@@ -44,6 +47,15 @@ def _pin_tenants(cluster, count_per_shard=1):
 
 def _strip_wall(report):
     return dataclasses.replace(report, wall_seconds=0.0)
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 @pytest.fixture()
@@ -224,10 +236,10 @@ class TestSupervisionLimits:
 
 
 class TestPooledForwarding:
-    """The router keeps one connection per forwarding thread and worker
-    URL. A killed worker leaves those sockets at EOF; they must be dropped
-    before anything is written to them, so the refused connect to the
-    dead URL stays the only "never sent" signal."""
+    """The router keeps idle keep-alive connections per worker URL. A
+    killed worker leaves those sockets at EOF; they must be dropped before
+    anything is written to them, so the refused connect to the dead URL
+    stays the only "never sent" signal."""
 
     def test_sigkill_after_warm_pool_answers_like_the_reference(self, rig):
         cluster, client, reference = rig
@@ -260,6 +272,153 @@ class TestPooledForwarding:
         assert _strip_wall(client.report(victim_tenant)) == _strip_wall(
             reference.session(victim_tenant).report()
         )
+
+
+    def test_sigkilled_worker_idle_connection_is_never_written_to(self, rig):
+        cluster, client, reference = rig
+        tenants = _open_everywhere(cluster, client, reference)
+        victim_tenant = tenants[0]
+        victim = cluster.owner_of(victim_tenant)
+        events = make_events(tenant=victim_tenant, n=4)
+        for seq, event in enumerate(events[:2], start=1):
+            lived = client.decide_idempotent(event, seq=seq)
+            assert lived == reference.decide_idempotent(event, seq=seq)
+        old_url = cluster.supervisor.url(victim)
+        assert cluster.pooled_connections()[old_url] == 1  # warm and idle
+
+        cluster.supervisor.kill(victim)
+
+        # A decide without a seq is not retry-safe: it only succeeds if
+        # the router never wrote it into the dead worker's connection.
+        assert client.decide(events[2]) == reference.decide(events[2])
+        lived = client.decide_idempotent(events[3], seq=3)
+        assert lived == reference.decide_idempotent(events[3], seq=3)
+        assert lived[1] is False
+        pooled = cluster.pooled_connections()
+        assert old_url not in pooled
+        assert pooled[cluster.supervisor.url(victim)] == 1
+
+
+
+class TestWorkerPool:
+    def test_a_closed_idle_connection_is_not_reused(self):
+        """A server that restarts on the same URL leaves the pooled
+        connection at EOF; the next post must open a fresh one instead of
+        writing into the old socket (which would fail mid-request)."""
+        from repro.api.cluster import _WorkerPool
+
+        body = json.dumps({"op": "healthz", "version": 1}).encode()
+        first = serve_http(AuditService()).start_background()
+        host, port = first.address
+        service = AuditService()
+        service.open_session(make_config(tenant="b"), make_history())
+        servers = [first]
+
+        async def run():
+            pool = _WorkerPool()
+            try:
+                status, _ctype, payload = await pool.post(
+                    first.url, "/v1/healthz", body, "application/json"
+                )
+                assert status == 200
+                assert json.loads(payload)["payload"]["tenants"] == []
+                first.shutdown()
+                second = serve_http(service, host=host, port=port)
+                servers.append(second.start_background())
+                await asyncio.sleep(0.1)  # the loop reads the server's FIN
+                status, _ctype, payload = await pool.post(
+                    second.url, "/v1/healthz", body, "application/json"
+                )
+                assert json.loads(payload)["payload"]["tenants"] == ["b"]
+                assert pool.counts() == {second.url: 1}
+            finally:
+                await pool.retain(None)
+
+        try:
+            asyncio.run(run())
+            assert _wait_for(lambda: servers[-1].open_connections == 0)
+        finally:
+            for server in servers:
+                server.shutdown()
+
+def _accepted_connections(url):
+    """ESTABLISHED TCP connections whose local end is the URL's port: the
+    connections a worker process holds open (Linux ``/proc/net/tcp*``)."""
+    port = int(url.rsplit(":", 1)[1])
+    count = 0
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            rows = Path(table).read_text().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            fields = row.split()
+            if fields[3] == "01" and int(fields[1].rsplit(":", 1)[1], 16) == port:
+                count += 1
+    return count
+
+
+@pytest.mark.skipif(
+    not Path("/proc/net/tcp").exists(), reason="needs Linux /proc/net/tcp"
+)
+class TestPoolAcrossRebalance:
+    def test_retired_worker_urls_lose_their_connections(self, tmp_path):
+        with serve_cluster(
+            workers=2, state_dir=tmp_path / "cluster"
+        ).start_background() as cluster:
+            with ReproClient.connect(cluster.url) as client:
+                tenants = [f"pool-{index}" for index in range(6)]
+                for tenant in tenants:
+                    client.open_session(make_config(tenant=tenant), make_history())
+
+                def touch_every_worker():
+                    for worker_id in cluster.worker_ids:
+                        tenant = next(
+                            t for t in tenants if cluster.owner_of(t) == worker_id
+                        )
+                        client.report(tenant)
+
+                def assert_pool_matches_workers():
+                    live = {
+                        cluster.supervisor.url(worker_id)
+                        for worker_id in cluster.worker_ids
+                    }
+                    pooled = cluster.pooled_connections()
+                    assert set(pooled) <= live
+                    for url in live:
+                        assert _wait_for(
+                            lambda: _accepted_connections(url) == pooled.get(url, 0)
+                        ), (url, pooled)
+
+                touch_every_worker()
+                before = {
+                    worker_id: cluster.supervisor.url(worker_id)
+                    for worker_id in cluster.worker_ids
+                }
+                assert set(cluster.pooled_connections()) == set(before.values())
+
+                added = cluster.add_worker()
+                assert_pool_matches_workers()
+                retired = set(before.values()) - {
+                    cluster.supervisor.url(worker_id)
+                    for worker_id in cluster.worker_ids
+                }
+                assert retired, "the rebalance restarted no worker"
+                touch_every_worker()
+                assert cluster.pooled_connections() == {
+                    cluster.supervisor.url(worker_id): 1
+                    for worker_id in cluster.worker_ids
+                }
+                assert_pool_matches_workers()
+
+                cluster.remove_worker(added)
+                assert_pool_matches_workers()
+                touch_every_worker()
+                assert cluster.pooled_connections() == {
+                    cluster.supervisor.url(worker_id): 1
+                    for worker_id in cluster.worker_ids
+                }
+                assert_pool_matches_workers()
 
 
 class TestRouterShutdown:
